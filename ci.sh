@@ -70,6 +70,11 @@ EIDER_THREADS=8 cargo test -q --test multi_session
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> repo benchmark smoke test (every workload's oracle at tiny sizes)"
+# The benchmark is its own workspace under perfbench/; an engine change
+# that breaks a workload's oracle fails here, not in a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --doc --workspace (doc examples execute, incl. docs/EMBEDDING.md)"
 cargo test --doc --workspace -q
 

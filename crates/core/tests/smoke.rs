@@ -1,5 +1,10 @@
 //! End-to-end smoke tests of the eider-core facade.
 
+// The workspace's shared test helpers (unique scratch paths).
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use common::TempPath;
 use eider_core::{Database, Value};
 
 #[test]
@@ -58,10 +63,7 @@ fn explicit_transactions_and_rollback() {
 
 #[test]
 fn persistence_across_reopen() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("eider_smoke_{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let wal = format!("{}.wal", path.display());
+    let path = TempPath::new("smoke.db");
     {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();
@@ -77,17 +79,11 @@ fn persistence_across_reopen() {
         let r = conn.query("SELECT a, b FROM t").unwrap();
         assert_eq!(r.to_rows(), vec![vec![Value::Integer(1), Value::Varchar("ONE".into())]]);
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]
 fn wal_recovery_without_checkpoint() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("eider_walrec_{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let wal = format!("{}.wal", path.display());
-    let _ = std::fs::remove_file(&wal);
+    let path = TempPath::new("walrec.db");
     {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();
@@ -103,8 +99,6 @@ fn wal_recovery_without_checkpoint() {
         let r = conn.query("SELECT a FROM t").unwrap();
         assert_eq!(r.scalar().unwrap(), Value::Integer(42));
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]

@@ -217,6 +217,8 @@ pub struct ArrowWriter<W: Write> {
     dict_index: Vec<(u32, u64)>,
     batches: Vec<BatchMeta>,
     rows_written: u64,
+    /// Record-batch body, reused across batches.
+    body: Vec<u8>,
 }
 
 impl<W: Write> ArrowWriter<W> {
@@ -235,6 +237,7 @@ impl<W: Write> ArrowWriter<W> {
             dict_index: Vec::new(),
             batches: Vec::new(),
             rows_written: 0,
+            body: Vec::new(),
         })
     }
 
@@ -284,7 +287,7 @@ impl<W: Write> ArrowWriter<W> {
                     off += v.len() as i32;
                     body.extend_from_slice(&off.to_le_bytes());
                 }
-                body.extend(std::iter::repeat_n(0u8, pad8(body.len())));
+                put_pad8(&mut body);
                 for v in dict.values() {
                     body.extend_from_slice(v.as_bytes());
                 }
@@ -294,35 +297,30 @@ impl<W: Write> ArrowWriter<W> {
             }
         }
         let nrows = chunk.len();
-        let mut body = Vec::new();
+        let mut body = std::mem::take(&mut self.body);
+        body.clear();
+        body.reserve(batch_body_bound(chunk));
         body.extend_from_slice(&(nrows as u32).to_le_bytes());
         let mut stats = Vec::with_capacity(self.types.len());
         for vector in chunk.columns() {
             stats.push(vector.min_max());
             let dict = vector.dict_parts();
             body.push(if dict.is_some() { ENC_DICT } else { ENC_PLAIN });
-            body.extend(std::iter::repeat_n(0u8, pad8(body.len())));
-            // Validity bitmap, LSB first.
-            let validity = vector.validity();
-            let mut bitmap = vec![0u8; nrows.div_ceil(8)];
-            for row in 0..nrows {
-                if validity.is_valid(row) {
-                    bitmap[row / 8] |= 1 << (row % 8);
-                }
-            }
-            body.extend_from_slice(&bitmap);
-            body.extend(std::iter::repeat_n(0u8, pad8(body.len())));
+            put_pad8(&mut body);
+            put_bitmap(&mut body, vector.validity(), nrows);
+            put_pad8(&mut body);
             if let Some((_, codes)) = dict {
-                for &c in codes {
-                    body.extend_from_slice(&c.to_le_bytes());
-                }
+                put_fixed(&mut body, codes, |c| c.to_le_bytes());
+            } else if let Some((frame, deltas)) = vector.for_parts() {
+                put_fixed(&mut body, deltas, |&d| (frame + i64::from(d)).to_le_bytes());
             } else {
                 put_plain_data(&mut body, vector.data());
             }
-            body.extend(std::iter::repeat_n(0u8, pad8(body.len())));
+            put_pad8(&mut body);
         }
-        let offset = self.write_message(MSG_BATCH, &body)?;
-        self.batches.push(BatchMeta { offset, nrows: nrows as u32, stats });
+        let written = self.write_message(MSG_BATCH, &body);
+        self.body = body;
+        self.batches.push(BatchMeta { offset: written?, nrows: nrows as u32, stats });
         self.rows_written += nrows as u64;
         Ok(())
     }
@@ -364,14 +362,59 @@ impl<W: Write> ArrowWriter<W> {
     }
 }
 
+fn put_pad8(body: &mut Vec<u8>) {
+    body.resize(body.len() + pad8(body.len()), 0);
+}
+
+/// An upper bound on a record-batch body's size, so the body buffer grows
+/// at most once per batch.
+fn batch_body_bound(chunk: &DataChunk) -> usize {
+    let n = chunk.len();
+    let per_column = |v: &Vector| {
+        let data = if v.dict_parts().is_some() {
+            4 * n
+        } else if v.logical_type() == LogicalType::Varchar {
+            4 * (n + 1) + 8 + v.as_str().iter().map(String::len).sum::<usize>()
+        } else {
+            v.logical_type().physical_width() * n
+        };
+        8 + n.div_ceil(8) + 8 + data + 8
+    };
+    4 + chunk.columns().iter().map(per_column).sum::<usize>()
+}
+
+/// Append the LSB-first validity bitmap of `nrows` rows, whole mask words
+/// at a time (the mask's word bytes in little-endian order are exactly
+/// the bitmap's bytes).
+fn put_bitmap(body: &mut Vec<u8>, validity: &ValidityMask, nrows: usize) {
+    let nbytes = nrows.div_ceil(8);
+    match validity.words() {
+        Some(words) => body.extend(words.iter().flat_map(|w| w.to_le_bytes()).take(nbytes)),
+        None => body.resize(body.len() + nbytes, 0xFF),
+    }
+    if !nrows.is_multiple_of(8) {
+        // Bits past the last row are zero.
+        *body.last_mut().expect("nrows > 0") &= (1u8 << (nrows % 8)) - 1;
+    }
+}
+
+/// Append fixed-width values: grow once, then fill `N`-byte slots.
+fn put_fixed<T, const N: usize>(body: &mut Vec<u8>, values: &[T], le: impl Fn(&T) -> [u8; N]) {
+    let start = body.len();
+    body.resize(start + values.len() * N, 0);
+    for (slot, x) in body[start..].chunks_exact_mut(N).zip(values) {
+        slot.copy_from_slice(&le(x));
+    }
+}
+
 fn put_plain_data(body: &mut Vec<u8>, data: &VectorData) {
     match data {
-        VectorData::Bool(v) => body.extend(v.iter().map(|&b| u8::from(b))),
-        VectorData::I8(v) => body.extend(v.iter().map(|&x| x as u8)),
-        VectorData::I16(v) => v.iter().for_each(|x| body.extend_from_slice(&x.to_le_bytes())),
-        VectorData::I32(v) => v.iter().for_each(|x| body.extend_from_slice(&x.to_le_bytes())),
-        VectorData::I64(v) => v.iter().for_each(|x| body.extend_from_slice(&x.to_le_bytes())),
-        VectorData::F64(v) => v.iter().for_each(|x| body.extend_from_slice(&x.to_le_bytes())),
+        VectorData::Bool(v) => put_fixed(body, v, |&b| [u8::from(b)]),
+        VectorData::I8(v) => put_fixed(body, v, |x| x.to_le_bytes()),
+        VectorData::I16(v) => put_fixed(body, v, |x| x.to_le_bytes()),
+        VectorData::I32(v) => put_fixed(body, v, |x| x.to_le_bytes()),
+        VectorData::I64(v) => put_fixed(body, v, |x| x.to_le_bytes()),
+        VectorData::F64(v) => put_fixed(body, v, |x| x.to_le_bytes()),
         VectorData::Str(v) => {
             let mut off = 0i32;
             body.extend_from_slice(&off.to_le_bytes());
@@ -379,7 +422,7 @@ fn put_plain_data(body: &mut Vec<u8>, data: &VectorData) {
                 off += s.len() as i32;
                 body.extend_from_slice(&off.to_le_bytes());
             }
-            body.extend(std::iter::repeat_n(0u8, pad8(body.len())));
+            put_pad8(body);
             for s in v {
                 body.extend_from_slice(s.as_bytes());
             }
@@ -975,4 +1018,73 @@ mod tests {
     }
 
     const GOLDEN_HEX: &str = "4152524f5731000002000000480000000300000000000000050000000000000001000000000000000300000000000000000000000000000003000000000000000000000002000000020000000200000061620000000000000200000004010069070100730000000001000000080000000000000003000000010401000000040300000001070000000007020000006162380000004152524f57310000";
+
+    /// Second golden file for the paths the first leaves untested: 11 rows
+    /// (a partial last bitmap byte), an all-valid FOR-encoded BIGINT, a
+    /// DOUBLE with NULLs and both signed zeros, a DATE and a dict-coded
+    /// VARCHAR whose dictionary holds a value no row uses.
+    #[test]
+    fn golden_file_pins_encoded_and_partial_byte_paths() {
+        let n = 11;
+        let big = Vector::from_for(
+            LogicalType::BigInt,
+            1 << 40,
+            (0..n as u32).map(|i| (i * 7919) % 1000).collect(),
+            ValidityMask::new_all_valid(n),
+        )
+        .unwrap();
+        let doubles: Vec<Value> = (0..n)
+            .map(|i| match i {
+                2 | 9 => Value::Null,
+                4 => Value::Double(-0.0),
+                6 => Value::Double(0.0),
+                _ => Value::Double(i as f64 * 1.25 - 3.0),
+            })
+            .collect();
+        let dbl = Vector::from_values(LogicalType::Double, &doubles).unwrap();
+        let dates: Vec<Value> = (0..n)
+            .map(|i| if i == 10 { Value::Null } else { Value::Date(18_000 + (i as i32 * 37) % 11) })
+            .collect();
+        let date = Vector::from_values(LogicalType::Date, &dates).unwrap();
+        let dict = Arc::new(StrDict::new(
+            ["pear", "apple", "zebra", "fig"].iter().map(|s| s.to_string()).collect(),
+        ));
+        let mut validity = ValidityMask::new_all_valid(n);
+        validity.set_invalid(5);
+        let codes = (0..n as u32).map(|i| [1, 0, 3][i as usize % 3]).collect();
+        let s = Vector::from_dict(LogicalType::Varchar, dict, codes, validity).unwrap();
+        let chunk = DataChunk::from_vectors(vec![big, dbl, date, s]).unwrap();
+        let mut bytes = Vec::new();
+        let names = vec!["b".into(), "d".into(), "t".into(), "s".into()];
+        let mut w = ArrowWriter::new(&mut bytes, names, chunk.types().to_vec()).unwrap();
+        w.write_chunk(&chunk).unwrap();
+        w.write_chunk(&chunk.slice(3, 8)).unwrap();
+        w.finish().unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_ENCODED_HEX, "arrow byte format changed");
+    }
+
+    const GOLDEN_ENCODED_HEX: &str = concat!(
+        "4152524f57310000010000003100000003000000040000000000000004000000090000000e00000011000000",
+        "00000000706561726170706c657a656272616669670000000000000002000000500100000b00000000000000",
+        "ff07000000000000000000000001000097030000000100004603000000010000f502000000010000a4020000",
+        "0001000053020000000100000202000000010000b10100000001000060010000000100000f01000000010000",
+        "be000000000100000000000000000000fb0500000000000000000000000008c0000000000000fcbf00000000",
+        "00000000000000000000e83f00000000000000800000000000000a4000000000000000000000000000001740",
+        "0000000000001c40000000000000000000000000000023400000000000000000ff0300000000000050460000",
+        "544600005846000051460000554600005946000052460000564600005a460000534600000000000000000000",
+        "0100000000000000df0700000000000001000000000000000300000001000000000000000300000001000000",
+        "000000000300000001000000000000000000000002000000000100000800000000000000ff00000000000000",
+        "f502000000010000a40200000001000053020000000100000202000000010000b10100000001000060010000",
+        "000100000f01000000010000be000000000100000000000000000000bf00000000000000000000000000e83f",
+        "00000000000000800000000000000a40000000000000000000000000000017400000000000001c4000000000",
+        "00000000000000000000234000000000000000007f0000000000000051460000554600005946000052460000",
+        "564600005a46000053460000000000000100000000000000fb00000000000000010000000000000003000000",
+        "0100000000000000030000000100000000000000040000000501006206010064080100740701007301000000",
+        "0300000008000000000000000200000048000000000000000b00000001050000000000010000059703000000",
+        "010000010600000000000008c0060000000000002340010850460000085a4600000107050000006170706c65",
+        "070400000070656172a001000000000000080000000105be0000000001000005f50200000001000001060000",
+        "000000000080060000000000002340010851460000085a4600000107050000006170706c6507040000007065",
+        "6172ca0000004152524f57310000",
+    );
 }

@@ -4,7 +4,9 @@
 //! targets of both the vectorized engine's hash aggregation and the
 //! row-at-a-time baseline, so the two engines share semantics exactly.
 
-use eider_vector::{EiderError, LogicalType, Result, SelectionVector, Value, Vector, VectorData};
+use eider_vector::{
+    EiderError, EngineOrd, LogicalType, Result, SelectionVector, Value, Vector, VectorData,
+};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -512,10 +514,10 @@ impl AggState {
                     AggState::Min(_) | AggState::Max(_) => {
                         // Reduce to the chunk-local extreme first, then do a
                         // single Value comparison against the stored state.
-                        // `partial_cmp` (not `<`/`>`) keeps the per-row
-                        // path's semantics for doubles: an incomparable
-                        // pair (NaN) never replaces the held value, exactly
-                        // like `Value::total_cmp`'s Equal fallback.
+                        // `engine_cmp` is `Value::total_cmp`'s order (NaN
+                        // after every number), and a strict comparison keeps
+                        // the first of equal extremes, as the per-row path
+                        // does.
                         let want = if matches!(self, AggState::Max(_)) {
                             Ordering::Greater
                         } else {
@@ -526,7 +528,7 @@ impl AggState {
                             best = match best {
                                 None => Some(*x),
                                 Some(b) => {
-                                    if (*x).partial_cmp(&b) == Some(want) {
+                                    if x.engine_cmp(&b) == want {
                                         Some(*x)
                                     } else {
                                         Some(b)
@@ -952,9 +954,8 @@ mod tests {
     #[test]
     fn bulk_min_max_match_per_row_on_nan() {
         use eider_vector::Vector;
-        // NaN is incomparable: the per-row path keeps the held value on
-        // the total_cmp Equal fallback, and the bulk kernel must agree in
-        // BOTH orders.
+        // NaN sorts after every number: MAX is NaN and MIN is 1.0 in
+        // BOTH input orders, on the per-row path and the bulk kernel.
         for vals in [
             vec![Value::Double(1.0), Value::Double(f64::NAN)],
             vec![Value::Double(f64::NAN), Value::Double(1.0)],
@@ -970,6 +971,8 @@ mod tests {
                 let (a, b) = (bulk.finalize().unwrap(), scalar.finalize().unwrap());
                 // Compare bit patterns (NaN != NaN under ==).
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind:?} over {vals:?}");
+                let want = if kind == AggKind::Max { "NaN" } else { "1.0" };
+                assert_eq!(format!("{a:?}"), format!("Double({want})"), "{kind:?} over {vals:?}");
             }
         }
     }

@@ -29,8 +29,8 @@ pub const MORSEL_ROWS: usize = 8 * VECTOR_SIZE;
 /// the bounds — the dispenser treats them as opaque claim tickets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Morsel {
-    /// Position in the serial scan order; merges sort by this to make
-    /// parallel output deterministic.
+    /// Position in the dispenser's work list: gap-free and in serial scan
+    /// order; merges sort by this to make parallel output deterministic.
     pub seq: usize,
     pub group: usize,
     pub row_begin: usize,
@@ -97,8 +97,7 @@ impl MorselSource {
     ///
     /// Row groups whose zone maps exclude the pushed-down filters are
     /// dropped from the work list up front: on a selective scan workers
-    /// never even claim morsels in pruned groups. (Sequence numbers keep
-    /// their serial-scan positions, so merges stay deterministic.)
+    /// never even claim morsels in pruned groups.
     pub fn new(
         table: Arc<DataTable>,
         txn: &Transaction,
@@ -116,15 +115,24 @@ impl MorselSource {
     }
 
     /// Build a table-backed source over pre-sliced morsels (see
-    /// [`slice_morsels`]). Records the scan's read predicates on `txn`
-    /// once.
+    /// [`slice_morsels`]), possibly with pruned ones left out. Records the
+    /// scan's read predicates on `txn` once.
+    ///
+    /// A dispensed morsel's `seq` is its position in this work list, so
+    /// sequence numbers are gap-free (`0..n`) even after pruning — the
+    /// contract the ordered result queue relies on — and still follow the
+    /// serial scan order, so merges stay deterministic. `group` and the
+    /// row bounds say what the morsel scans.
     pub fn from_morsels(
         table: Arc<DataTable>,
         txn: &Transaction,
         opts: ScanOptions,
-        morsels: Vec<Morsel>,
+        mut morsels: Vec<Morsel>,
     ) -> Self {
         table.record_scan_read(txn, &opts);
+        for (seq, m) in morsels.iter_mut().enumerate() {
+            m.seq = seq;
+        }
         MorselSource {
             backend: ScanBackend::Table { table, opts },
             morsels,
@@ -143,9 +151,12 @@ impl MorselSource {
     }
 
     /// Build a dispenser over an external source's partitions (already
-    /// pruned by the caller). Each partition becomes one morsel whose
-    /// bounds carry the partition's source-defined units; `projection`
-    /// lists full-schema column positions in emission order.
+    /// pruned by the caller, in scan order). Each partition becomes one
+    /// morsel whose bounds carry the partition's source-defined units and
+    /// whose `group` is the partition's own `seq`; the morsel's `seq` is
+    /// its position in the list, gap-free as in
+    /// [`MorselSource::from_morsels`]. `projection` lists full-schema
+    /// column positions in emission order.
     pub fn external(
         source: Arc<dyn TableSource>,
         projection: Vec<usize>,
@@ -153,8 +164,9 @@ impl MorselSource {
     ) -> Self {
         let morsels = partitions
             .into_iter()
-            .map(|p| Morsel {
-                seq: p.seq,
+            .enumerate()
+            .map(|(seq, p)| Morsel {
+                seq,
                 group: p.seq,
                 row_begin: p.begin as usize,
                 row_end: p.end as usize,
@@ -270,7 +282,7 @@ impl PhysicalOperator for MorselScanOp {
             ) => {
                 if reader.is_none() {
                     let part = SourcePartition {
-                        seq: morsel.seq,
+                        seq: morsel.group,
                         begin: morsel.row_begin as u64,
                         end: morsel.row_end as u64,
                     };

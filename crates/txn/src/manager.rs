@@ -38,19 +38,25 @@ impl WriteSummary {
             // reads, which we conservatively record as whole-table reads.)
             return;
         }
+        self.merge_range(table_id, column, v, v);
+    }
+
+    /// Widen `column`'s written range to cover the non-NULL range
+    /// `[lo, hi]` — one merge for a whole appended slice.
+    pub fn merge_range(&mut self, table_id: u64, column: usize, lo: &Value, hi: &Value) {
         let ranges = self.tables.entry(table_id).or_default();
         match ranges.entry(column) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let (min, max) = e.get_mut();
-                if v.total_cmp(min) == std::cmp::Ordering::Less {
-                    *min = v.clone();
+                if lo.total_cmp(min) == std::cmp::Ordering::Less {
+                    *min = lo.clone();
                 }
-                if v.total_cmp(max) == std::cmp::Ordering::Greater {
-                    *max = v.clone();
+                if hi.total_cmp(max) == std::cmp::Ordering::Greater {
+                    *max = hi.clone();
                 }
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((v.clone(), v.clone()));
+                e.insert((lo.clone(), hi.clone()));
             }
         }
     }

@@ -88,20 +88,18 @@ impl RowGroupInner {
         self.insert_ids.len()
     }
 
-    fn widen_zone(&mut self, column: usize, v: &Value) {
-        if v.is_null() {
-            return;
-        }
+    /// Widen `column`'s zone map to cover the non-NULL range `[lo, hi]`.
+    fn widen_zone(&mut self, column: usize, lo: &Value, hi: &Value) {
         match &mut self.zone_maps[column] {
             Some((min, max)) => {
-                if v.total_cmp(min) == std::cmp::Ordering::Less {
-                    *min = v.clone();
+                if lo.total_cmp(min) == std::cmp::Ordering::Less {
+                    *min = lo.clone();
                 }
-                if v.total_cmp(max) == std::cmp::Ordering::Greater {
-                    *max = v.clone();
+                if hi.total_cmp(max) == std::cmp::Ordering::Greater {
+                    *max = hi.clone();
                 }
             }
-            slot @ None => *slot = Some((v.clone(), v.clone())),
+            slot @ None => *slot = Some((lo.clone(), hi.clone())),
         }
     }
 
@@ -283,10 +281,13 @@ impl DataTable {
             if let Some(stamps) = g.update_stamps.as_mut() {
                 stamps.extend(std::iter::repeat_n(0u64, count));
             }
-            for c in 0..self.types.len() {
-                for row in offset..offset + count {
-                    let v = chunk.column(c).get_value(row);
-                    g.widen_zone(c, &v);
+            // One typed min/max pass per column feeds both the zone map
+            // and (below) the write summary.
+            let ranges: Vec<Option<(Value, Value)>> =
+                chunk.columns().iter().map(|col| col.min_max_range(offset, count)).collect();
+            for (c, range) in ranges.iter().enumerate() {
+                if let Some((lo, hi)) = range {
+                    g.widen_zone(c, lo, hi);
                 }
             }
             if g.len() >= ROW_GROUP_SIZE {
@@ -301,10 +302,9 @@ impl DataTable {
                 count,
             });
             // Inserted values participate in conflict detection (phantoms).
-            for c in 0..self.types.len() {
-                for row in offset..offset + count {
-                    let v = chunk.column(c).get_value(row);
-                    state.summary.merge_value(self.id, c, &v);
+            for (c, range) in ranges.iter().enumerate() {
+                if let Some((lo, hi)) = range {
+                    state.summary.merge_range(self.id, c, lo, hi);
                 }
             }
             drop(state);
@@ -622,7 +622,9 @@ impl DataTable {
                 g.stamps_mut()[row] = txn.id();
                 let new_v = new_values.get_value(i + k);
                 g.columns[column].set_value(row, &new_v)?;
-                g.widen_zone(column, &new_v);
+                if !new_v.is_null() {
+                    g.widen_zone(column, &new_v, &new_v);
+                }
                 g.undo.push(UndoEntry {
                     row: rid.row,
                     column: column as u32,
@@ -1343,5 +1345,86 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
+    }
+
+    /// Row-by-row widening under `Value::total_cmp` — what zone maps and
+    /// write summaries did before the typed kernel, kept as the oracle.
+    fn fold(range: &mut Option<(Value, Value)>, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        match range {
+            Some((lo, hi)) => {
+                if v.total_cmp(lo) == std::cmp::Ordering::Less {
+                    *lo = v.clone();
+                }
+                if v.total_cmp(hi) == std::cmp::Ordering::Greater {
+                    *hi = v.clone();
+                }
+            }
+            None => *range = Some((v.clone(), v.clone())),
+        }
+    }
+
+    #[test]
+    fn appends_across_a_group_boundary_match_per_cell_widening() {
+        let types =
+            [LogicalType::BigInt, LogicalType::Double, LogicalType::Varchar, LogicalType::Date];
+        // Deterministic rows with NULLs, NaN (first in the second group),
+        // and both signed zeros (whose first occurrence must win).
+        let row = |i: usize| -> Vec<Value> {
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            let x = match i {
+                _ if i == ROW_GROUP_SIZE => Value::Double(f64::NAN),
+                _ if i % 97 == 5 => Value::Double(-0.0),
+                _ if i % 89 == 7 => Value::Double(0.0),
+                _ if h.is_multiple_of(11) => Value::Null,
+                _ => Value::Double((h % 1000) as f64 / 8.0 - 40.0),
+            };
+            vec![
+                if h.is_multiple_of(13) {
+                    Value::Null
+                } else {
+                    Value::BigInt(h as i64 - (1 << 23))
+                },
+                x,
+                if h.is_multiple_of(7) {
+                    Value::Null
+                } else {
+                    Value::Varchar(format!("s{}", h % 5000))
+                },
+                Value::Date((h % 20_000) as i32),
+            ]
+        };
+        let table = DataTable::new(types.to_vec());
+        let mgr = TransactionManager::new();
+        let txn = mgr.begin();
+        // Fill the first group to 100 rows short of full, then append a
+        // 300-row chunk: 100 rows close group 0, 200 open group 1.
+        let mut bounds: Vec<usize> = (0..ROW_GROUP_SIZE - 100).step_by(VECTOR_SIZE).collect();
+        bounds.extend([ROW_GROUP_SIZE - 100, ROW_GROUP_SIZE + 200]);
+        for w in bounds.windows(2) {
+            let rows: Vec<Vec<Value>> = (w[0]..w[1]).map(row).collect();
+            table.append_chunk(&txn, &DataChunk::from_rows(&types, &rows).unwrap()).unwrap();
+        }
+        assert_eq!(table.group_sizes(), [ROW_GROUP_SIZE, 200]);
+        for (c, _) in types.iter().enumerate() {
+            let mut groups = [None, None];
+            let mut summary = None;
+            for i in 0..ROW_GROUP_SIZE + 200 {
+                let v = &row(i)[c];
+                fold(&mut groups[i / ROW_GROUP_SIZE], v);
+                fold(&mut summary, v);
+            }
+            for (g, want) in groups.iter().enumerate() {
+                let got = table.zone_map(g, c);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "zone map group {g} col {c}");
+            }
+            let state = txn.state.lock();
+            let got = state.summary.tables[&table.id()].get(&c);
+            assert_eq!(format!("{got:?}"), format!("{:?}", summary.as_ref()), "summary col {c}");
+        }
+        let (lo, hi) = table.zone_map(1, 1).unwrap();
+        assert!(lo.as_f64().is_some_and(|f| !f.is_nan()) && hi.as_f64().unwrap().is_nan());
     }
 }

@@ -14,6 +14,7 @@ pub mod chunk;
 pub mod date;
 pub mod encoding;
 pub mod error;
+pub mod minmax;
 pub mod selection;
 pub mod types;
 pub mod validity;
@@ -24,6 +25,7 @@ pub mod vector;
 pub use chunk::DataChunk;
 pub use encoding::{Encoding, StrDict};
 pub use error::{EiderError, Result};
+pub use minmax::EngineOrd;
 pub use selection::SelectionVector;
 pub use types::LogicalType;
 pub use validity::ValidityMask;

@@ -143,6 +143,43 @@ impl ValidityMask {
         }
     }
 
+    /// The mask words, or `None` when no mask is materialized (every row
+    /// valid). Bit `r % 64` of word `r / 64` is row `r`, 1 = valid; bits
+    /// past `len` are zero. Bulk consumers read whole words instead of
+    /// probing row by row.
+    pub fn words(&self) -> Option<&[u64]> {
+        (!self.bits.is_empty()).then_some(self.bits.as_slice())
+    }
+
+    /// Call `f` with every valid row in `[start, end)`, in ascending order,
+    /// one mask word at a time (a fully valid word runs as a dense loop).
+    #[inline]
+    pub fn for_each_valid(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
+        debug_assert!(start <= end && end <= self.len);
+        if self.bits.is_empty() {
+            (start..end).for_each(f);
+            return;
+        }
+        let mut row = start;
+        while row < end {
+            let word_end = ((row / 64 + 1) * 64).min(end);
+            let span = word_end - row;
+            let mut bits = self.bits[row / 64] >> (row % 64);
+            if span < 64 {
+                bits &= (1u64 << span) - 1;
+            }
+            if bits.count_ones() as usize == span {
+                (row..word_end).for_each(&mut f);
+            } else {
+                while bits != 0 {
+                    f(row + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            row = word_end;
+        }
+    }
+
     /// Iterator over indexes of valid rows.
     pub fn valid_indexes(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len).filter(move |&i| self.is_valid(i))
@@ -250,6 +287,23 @@ mod tests {
         m.push(false);
         assert_eq!(m.len(), 71);
         assert!(!m.is_valid(70));
+    }
+
+    #[test]
+    fn for_each_valid_visits_valid_rows_of_a_range() {
+        let mut m = ValidityMask::new_all_valid(200);
+        for r in [0, 63, 64, 65, 130, 199] {
+            m.set_invalid(r);
+        }
+        for (start, end) in [(0, 200), (1, 64), (60, 70), (64, 128), (129, 199), (5, 5)] {
+            let mut got = Vec::new();
+            m.for_each_valid(start, end, |r| got.push(r));
+            let want: Vec<usize> = (start..end).filter(|&r| m.is_valid(r)).collect();
+            assert_eq!(got, want, "[{start}, {end})");
+        }
+        let mut all = Vec::new();
+        ValidityMask::new_all_valid(5).for_each_valid(1, 4, |r| all.push(r));
+        assert_eq!(all, [1, 2, 3]);
     }
 
     #[test]

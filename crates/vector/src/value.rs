@@ -216,17 +216,28 @@ impl Value {
         }
     }
 
-    /// Total order used for sorting: NULLs sort LAST (the engine's default,
-    /// matching `ORDER BY ... NULLS LAST`), NaN after all numbers, and
-    /// mixed incomparable types order by class (bool < numeric < string).
+    fn is_nan(&self) -> bool {
+        matches!(self, Value::Double(f) if f.is_nan())
+    }
+
+    /// Total order used for sorting, zone maps and MIN/MAX: NULLs sort LAST
+    /// (the engine's default, matching `ORDER BY ... NULLS LAST`), every NaN
+    /// equals every other NaN and sorts after all numbers, `-0.0` equals
+    /// `0.0`, and mixed incomparable types order by class
+    /// (bool < numeric < string). The order is transitive, so merging
+    /// per-slice extremes equals folding the values one by one.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         match (self.is_null(), other.is_null()) {
             (true, true) => Ordering::Equal,
             (true, false) => Ordering::Greater,
             (false, true) => Ordering::Less,
-            (false, false) => {
-                self.sql_cmp(other).unwrap_or_else(|| self.class_rank().cmp(&other.class_rank()))
-            }
+            (false, false) => match (self.is_nan(), other.is_nan()) {
+                (false, false) => self
+                    .sql_cmp(other)
+                    .unwrap_or_else(|| self.class_rank().cmp(&other.class_rank())),
+                (a, b) if self.class_rank() == other.class_rank() => a.cmp(&b),
+                _ => self.class_rank().cmp(&other.class_rank()),
+            },
         }
     }
 
@@ -269,6 +280,9 @@ impl Hash for Value {
                     && *f <= i64::MAX as f64
                 {
                     state.write_i64(*f as i64);
+                } else if f.is_nan() {
+                    // Every NaN is one group (they compare Equal).
+                    state.write_u64(f64::NAN.to_bits());
                 } else {
                     state.write_u64(f.to_bits());
                 }
@@ -375,6 +389,18 @@ mod tests {
         assert_eq!(vals[0], Value::Integer(1));
         assert_eq!(vals[1], Value::Integer(2));
         assert!(vals[2].is_null());
+    }
+
+    #[test]
+    fn total_order_puts_nan_after_numbers() {
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(nan.total_cmp(&Value::Double(f64::INFINITY)), Ordering::Greater);
+        assert_eq!(Value::BigInt(i64::MAX).total_cmp(&nan), Ordering::Less);
+        assert_eq!(nan.total_cmp(&Value::Double(-f64::NAN)), Ordering::Equal);
+        assert_eq!(nan.total_cmp(&Value::Null), Ordering::Less);
+        assert_eq!(nan.total_cmp(&Value::Varchar(String::new())), Ordering::Less);
+        assert_eq!(nan.total_cmp(&Value::Boolean(true)), Ordering::Greater);
+        assert_eq!(Value::Double(-0.0).total_cmp(&Value::Double(0.0)), Ordering::Equal);
     }
 
     #[test]

@@ -832,35 +832,6 @@ impl Vector {
         data + self.len().div_ceil(8)
     }
 
-    /// Min and max over valid rows, or `None` if all rows are NULL. This
-    /// powers the per-row-group zone maps used for scan skipping (§6:
-    /// "skip irrelevant blocks of rows during a scan").
-    pub fn min_max(&self) -> Option<(Value, Value)> {
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for row in 0..self.len() {
-            if self.is_null(row) {
-                continue;
-            }
-            let v = self.get_value(row);
-            match &min {
-                None => {
-                    min = Some(v.clone());
-                    max = Some(v);
-                }
-                Some(_) => {
-                    if v.total_cmp(min.as_ref().unwrap()) == std::cmp::Ordering::Less {
-                        min = Some(v.clone());
-                    }
-                    if v.total_cmp(max.as_ref().unwrap()) == std::cmp::Ordering::Greater {
-                        max = Some(v);
-                    }
-                }
-            }
-        }
-        min.zip(max)
-    }
-
     /// Collect all rows as values (testing / display convenience).
     pub fn to_values(&self) -> Vec<Value> {
         (0..self.len()).map(|i| self.get_value(i)).collect()

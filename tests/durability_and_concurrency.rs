@@ -1,22 +1,15 @@
 //! Integration tests for §3 (resilience/durability) and §2/§6
 //! (concurrency) behaviour across the full stack.
 
-use eider::{Database, Value};
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
-fn tmp_db(name: &str) -> (PathBuf, String) {
-    let mut p = std::env::temp_dir();
-    p.push(format!("eider_it_{}_{name}.db", std::process::id()));
-    let wal = format!("{}.wal", p.display());
-    let _ = std::fs::remove_file(&p);
-    let _ = std::fs::remove_file(&wal);
-    (p, wal)
-}
+use common::TempPath;
+use eider::{Database, Value};
+use std::sync::Arc;
 
 #[test]
 fn crash_recovery_preserves_committed_loses_uncommitted() {
-    let (path, wal) = tmp_db("crash");
+    let path = TempPath::new("crash.db");
     {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();
@@ -34,13 +27,11 @@ fn crash_recovery_preserves_committed_loses_uncommitted() {
         let r = conn.query("SELECT v FROM t").unwrap();
         assert_eq!(r.to_rows(), vec![vec![Value::Integer(1)]]);
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]
 fn checkpoint_then_more_wal_then_recover() {
-    let (path, wal) = tmp_db("ckpt_wal");
+    let path = TempPath::new("ckpt_wal.db");
     {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();
@@ -59,13 +50,11 @@ fn checkpoint_then_more_wal_then_recover() {
         let r = conn.query("SELECT v FROM t ORDER BY v").unwrap();
         assert_eq!(r.to_rows(), vec![vec![Value::Integer(3)], vec![Value::Integer(20)]]);
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]
 fn repeated_reopen_cycles() {
-    let (path, wal) = tmp_db("cycles");
+    let path = TempPath::new("cycles.db");
     for round in 0..5 {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();
@@ -76,8 +65,6 @@ fn repeated_reopen_cycles() {
         let r = conn.query("SELECT count(*) FROM log").unwrap();
         assert_eq!(r.scalar().unwrap(), Value::BigInt(round + 1));
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]
@@ -144,7 +131,7 @@ fn concurrent_writers_to_different_tables() {
 
 #[test]
 fn wal_grows_then_autocheckpoint_consumes_it() {
-    let (path, wal) = tmp_db("autockpt");
+    let path = TempPath::new("autockpt.db");
     {
         let db = Database::open(&path).unwrap();
         db.set_wal_autocheckpoint(20_000); // tiny threshold
@@ -166,8 +153,6 @@ fn wal_grows_then_autocheckpoint_consumes_it() {
         let r = db.connect().query("SELECT count(*) FROM t").unwrap();
         assert_eq!(r.scalar().unwrap(), Value::BigInt(50));
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]
@@ -177,8 +162,7 @@ fn csv_round_trip_through_copy() {
     conn.execute("CREATE TABLE t (id INTEGER, name VARCHAR, score DOUBLE)").unwrap();
     conn.execute("INSERT INTO t VALUES (1, 'with,comma', 1.5), (2, NULL, 2.5), (3, 'plain', NULL)")
         .unwrap();
-    let mut path = std::env::temp_dir();
-    path.push(format!("eider_copy_{}.csv", std::process::id()));
+    let path = TempPath::new("copy.csv");
     let n = conn.execute(&format!("COPY t TO '{}'", path.display())).unwrap();
     assert_eq!(n, 3);
     conn.execute("CREATE TABLE t2 (id INTEGER, name VARCHAR, score DOUBLE)").unwrap();
@@ -187,5 +171,4 @@ fn csv_round_trip_through_copy() {
     let a = conn.query("SELECT * FROM t ORDER BY id").unwrap();
     let b = conn.query("SELECT * FROM t2 ORDER BY id").unwrap();
     assert_eq!(a.to_rows(), b.to_rows());
-    let _ = std::fs::remove_file(&path);
 }

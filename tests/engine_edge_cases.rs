@@ -242,3 +242,26 @@ fn wide_table_many_columns() {
     let r = c.query("SELECT c30, c31, c32 FROM wide").unwrap();
     assert_eq!(r.to_rows()[0], vec![Value::Integer(30), Value::Integer(-1), Value::Integer(32)]);
 }
+
+#[test]
+fn nan_does_not_freeze_zone_maps_or_min_max() {
+    // A NaN first in a row group used to pin its zone map at (NaN, NaN):
+    // NaN compared Equal to every number, so range filters pruned the
+    // whole group and MIN/MAX returned NaN. NaN now sorts after every
+    // number (and filters compare it as IEEE does: never < or > a number).
+    for threads in [1, 2] {
+        let c = conn();
+        c.execute(&format!("PRAGMA threads = {threads}")).unwrap();
+        c.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+        let values: Vec<String> = std::iter::once("(CAST('NaN' AS DOUBLE))".to_string())
+            .chain((0..10).map(|i| format!("({i}.0)")))
+            .collect();
+        c.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+        let count = |sql: &str| c.query(sql).unwrap().scalar().unwrap();
+        assert_eq!(count("SELECT count(*) FROM t WHERE x < 0.5"), Value::BigInt(1), "{threads}");
+        assert_eq!(count("SELECT count(*) FROM t WHERE x > 5"), Value::BigInt(4), "{threads}");
+        let row = &c.query("SELECT min(x), max(x) FROM t").unwrap().to_rows()[0];
+        assert_eq!(format!("{:?}", row[0]), "Double(0.0)", "{threads}");
+        assert_eq!(format!("{:?}", row[1]), "Double(NaN)", "{threads}");
+    }
+}

@@ -5,27 +5,24 @@
 //! export must round-trip losslessly through `read_arrow`, including
 //! dictionary-coded columns that never decode in between.
 
+mod common;
+
+use common::TempPath;
 use eider::{Database, Value};
 use eider_etl::{for_each_chunk, ArrowFileSource, ArrowWriter, TableSource};
 use eider_vector::{DataChunk, LogicalType, Vector};
 use proptest::prelude::*;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 const ROWS: usize = 6_000;
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("eider_ext_{}_{name}", std::process::id()));
-    p
-}
 
 /// A deterministic CSV well past the 32 KB two-partition floor: a BigInt
 /// key, a dictionary-friendly group, an exactly-representable Double, and
 /// a quoted varchar with embedded delimiters and newlines — the shapes
 /// the byte-range partitioner has to get right.
-fn write_fixture_csv(path: &PathBuf) {
+fn write_fixture_csv(path: &Path) {
     let mut f = std::fs::File::create(path).unwrap();
     writeln!(f, "id,grp,val,note").unwrap();
     for i in 0..ROWS {
@@ -42,9 +39,9 @@ fn write_fixture_csv(path: &PathBuf) {
 /// Build a database with the fixture ingested as table `t` (via COPY FROM
 /// — the same `TableSource` path `read_csv` uses) and the Arrow twin
 /// exported from that table through `ResultCursor::export_arrow_ipc`.
-fn fixture() -> (Arc<Database>, PathBuf, PathBuf) {
-    let csv = tmp("fixture.csv");
-    let arrow = tmp("fixture.arrow");
+fn fixture() -> (Arc<Database>, TempPath, TempPath) {
+    let csv = TempPath::new("fixture.csv");
+    let arrow = TempPath::new("fixture.arrow");
     write_fixture_csv(&csv);
     let db = Database::in_memory().unwrap();
     let conn = db.connect();
@@ -106,8 +103,6 @@ fn external_scans_match_the_ingested_table_at_every_thread_count() {
             }
         }
     }
-    std::fs::remove_file(&csv).unwrap();
-    std::fs::remove_file(&arrow).unwrap();
 }
 
 #[test]
@@ -125,8 +120,6 @@ fn external_scans_survive_a_one_megabyte_budget() {
             }
         }
     }
-    std::fs::remove_file(&csv).unwrap();
-    std::fs::remove_file(&arrow).unwrap();
 }
 
 /// Exporting a query result to Arrow IPC and scanning the file back with
@@ -134,10 +127,10 @@ fn external_scans_survive_a_one_megabyte_budget() {
 /// is a file format" story.
 #[test]
 fn arrow_export_round_trips_through_read_arrow() {
-    let (db, csv, arrow) = fixture();
+    let (db, _csv, _arrow) = fixture();
     let conn = db.connect();
     // Round-trip a *derived* result, not just the base table.
-    let derived = tmp("derived.arrow");
+    let derived = TempPath::new("derived.arrow");
     let sql = "SELECT grp, count(*) AS n, min(val) AS lo FROM t GROUP BY grp ORDER BY grp";
     let expect = conn.query(sql).unwrap().to_rows();
     let out = std::fs::File::create(&derived).unwrap();
@@ -145,14 +138,11 @@ fn arrow_export_round_trips_through_read_arrow() {
     let back = conn.query(&format!("SELECT * FROM read_arrow('{}')", derived.display())).unwrap();
     assert_eq!(back.column_names(), ["grp", "n", "lo"]);
     assert_eq!(back.to_rows(), expect);
-    std::fs::remove_file(&csv).unwrap();
-    std::fs::remove_file(&arrow).unwrap();
-    std::fs::remove_file(&derived).unwrap();
 }
 
 /// Read an Arrow file back into rows via the raw `TableSource`, recording
 /// whether any imported column arrived dictionary-coded.
-fn arrow_rows(path: &PathBuf) -> (Vec<Vec<Value>>, bool) {
+fn arrow_rows(path: &Path) -> (Vec<Vec<Value>>, bool) {
     let source = ArrowFileSource::open(path).unwrap();
     let projection: Vec<usize> = (0..source.column_types().len()).collect();
     let mut rows = Vec::new();
@@ -189,7 +179,7 @@ proptest! {
     ) {
         let types =
             [LogicalType::BigInt, LogicalType::Varchar, LogicalType::Varchar];
-        let path = tmp(&format!("prop_{case}.arrow"));
+        let path = TempPath::new(&format!("prop_{case}.arrow"));
         let mut expected = Vec::new();
         {
             let out = std::fs::File::create(&path).unwrap();
@@ -220,7 +210,6 @@ proptest! {
             writer.finish().unwrap();
         }
         let (rows, _saw_dict) = arrow_rows(&path);
-        std::fs::remove_file(&path).unwrap();
         prop_assert_eq!(rows, expected);
     }
 }
@@ -229,7 +218,7 @@ proptest! {
 /// dictionary-coded (no decode on either side of the file boundary).
 #[test]
 fn dict_columns_cross_the_file_without_decoding() {
-    let path = tmp("dict.arrow");
+    let path = TempPath::new("dict.arrow");
     let types = [LogicalType::Varchar];
     let rows: Vec<Vec<Value>> =
         (0..1000).map(|i| vec![Value::Varchar(format!("group_{}", i % 4))]).collect();
@@ -245,7 +234,6 @@ fn dict_columns_cross_the_file_without_decoding() {
     let (got, saw_dict) = arrow_rows(&path);
     assert!(saw_dict, "imported column must still be dictionary-coded");
     assert_eq!(got, rows);
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// `Appender::from_source` and `COPY FROM` are the same ingest path; the
@@ -254,7 +242,7 @@ fn dict_columns_cross_the_file_without_decoding() {
 fn bulk_ingest_matches_copy_from() {
     use eider_client::Appender;
     use eider_etl::csv::{CsvReadOptions, CsvSource};
-    let csv = tmp("ingest.csv");
+    let csv = TempPath::new("ingest.csv");
     write_fixture_csv(&csv);
     let db = Database::in_memory().unwrap();
     let conn = db.connect();
@@ -273,5 +261,4 @@ fn bulk_ingest_matches_copy_from() {
     let a = conn.query("SELECT * FROM via_copy").unwrap().to_rows();
     let b = conn.query("SELECT * FROM via_appender").unwrap().to_rows();
     assert_eq!(a, b);
-    std::fs::remove_file(&csv).unwrap();
 }

@@ -3,8 +3,13 @@
 //! runs are bit-identical, and the cooperation clamp keeps the engine
 //! polite when the host application burns CPU.
 
+mod common;
+
+use common::TempPath;
 use eider::Value;
 use eider_bench::{star_db, wrangling_db};
+use eider_vector::{DataChunk, LogicalType, ValidityMask, Vector, VectorData};
+use std::sync::Arc;
 
 const ROWS: usize = 60_000;
 
@@ -400,4 +405,60 @@ fn cooperation_clamp_reduces_fanout_not_results() {
     assert_eq!(db.policy().worker_threads(), 4);
     let half = conn.query(sql).unwrap().to_rows();
     assert_eq!(sorted(half), sorted(conn.query(sql).unwrap().to_rows()));
+}
+
+/// `t(id BIGINT)` holding `0..rows` in order, appended a vector at a time
+/// so every row group's zone map covers a narrow id range.
+fn id_table(rows: i64) -> Arc<eider::Database> {
+    let db = eider::Database::in_memory().unwrap();
+    db.connect().execute("CREATE TABLE t (id BIGINT)").unwrap();
+    let entry = db.catalog().get_table("t").unwrap();
+    let txn = Arc::new(db.txn_manager().begin());
+    for start in (0..rows).step_by(2048) {
+        let ids: Vec<i64> = (start..rows.min(start + 2048)).collect();
+        let n = ids.len();
+        let col = Vector::from_parts(
+            LogicalType::BigInt,
+            VectorData::I64(ids),
+            ValidityMask::new_all_valid(n),
+        )
+        .unwrap();
+        entry.data.append_chunk(&txn, &DataChunk::from_vectors(vec![col]).unwrap()).unwrap();
+    }
+    db.commit_transaction(Arc::try_unwrap(txn).expect("sole owner")).unwrap();
+    db
+}
+
+#[test]
+fn streams_whose_first_row_group_is_pruned_complete_at_every_thread_count() {
+    // Zone maps prune the first row group (ids 0..122880) from the morsel
+    // list; the ordered result stream must still see gap-free sequence
+    // numbers and deliver every row.
+    let db = id_table(200_000);
+    let sql = "SELECT id FROM t WHERE id > 123000";
+    let expect: Vec<Vec<Value>> = (123_001..200_000).map(|i| vec![Value::BigInt(i)]).collect();
+    assert_eq!(expect.len(), 76_999);
+    for threads in [1, 2, 4, 8] {
+        assert_eq!(rows_for(&db, sql, threads), expect, "threads={threads}");
+    }
+}
+
+#[test]
+fn external_streams_whose_first_partition_is_pruned_complete_at_every_thread_count() {
+    // The same for `read_arrow`: the file's footer stats prune the leading
+    // record-batch partitions before any worker claims them.
+    let db = id_table(200_000);
+    let arrow = TempPath::new("ids.arrow");
+    let conn = db.connect();
+    let out = std::fs::File::create(&arrow).unwrap();
+    assert_eq!(
+        conn.query_stream("SELECT id FROM t").unwrap().export_arrow_ipc(out).unwrap(),
+        200_000
+    );
+    let sql = format!("SELECT id FROM read_arrow('{}') WHERE id > 123000", arrow.display());
+    let expect = rows_for(&db, "SELECT id FROM t WHERE id > 123000", 1);
+    assert_eq!(expect.len(), 76_999);
+    for threads in [1, 2, 4, 8] {
+        assert_eq!(rows_for(&db, &sql, threads), expect, "threads={threads}");
+    }
 }
